@@ -15,12 +15,11 @@ def main() -> None:
     ap.add_argument("-m", type=int, default=2)
     ap.add_argument("-n", type=int, default=6, help="max product depth")
     ap.add_argument("--budget", type=int, default=10**7)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     p = make_params(args.b, args.m)
     lam = dominant_root("lambda", p).value
-    rep = jsr_upper_exhaustive(p, args.n, budget=args.budget, threads=args.threads)
+    rep = jsr_upper_exhaustive(p, args.n, budget=args.budget)
 
     print(f"b={p.b} m={p.m}  lambda={lam:.12f}  nodes={rep.nodes_expanded}")
     print(f"{'n':>3} {'max norm':>12} {'bound':>14} {'excess':>10} {'po match':>9}")

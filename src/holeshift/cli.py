@@ -285,6 +285,8 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    if args.prefix is not None and (args.series or args.log):
+        raise _UsageError("--prefix gives one exact count; drop --series and --log")
     p = make_params(args.b, args.m)
     s = parse_schedule(args.schedule, p)
     desc = format_schedule(s)
@@ -407,7 +409,7 @@ def _cmd_regularity(args) -> int:
 
 def _cmd_jsr(args) -> int:
     p = make_params(args.b, args.m)
-    rep = jsr_upper_exhaustive(p, args.n, budget=args.budget, threads=args.threads)
+    rep = jsr_upper_exhaustive(p, args.n, budget=args.budget)
     lam = dominant_root("lambda", p).value
     rows = [
         [d, str(mn), _f(val), str(po)]
@@ -542,7 +544,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(j, schedule=False)
     j.add_argument("-n", type=int, default=4, help="product depth")
     j.add_argument("--budget", type=int, default=10**7, help="node expansion budget")
-    j.add_argument("--threads", type=int, default=1, help="split the search (same output)")
     j.add_argument("--check-periodic", help="words w1|w2|... to test as a periodic product")
     j.set_defaults(func=_cmd_jsr)
 

@@ -9,11 +9,11 @@ aggregating predecessor sums, instead of the O(b^m) edge scan.
 
 Two arithmetic paths exist on purpose: the exact path uses Python integers
 and never rounds; the log path renormalizes a float state by its maximum
-each step and accumulates the scale, reporting a drift bound of
-8 * eps * steps which generously covers the handful of roundings a step
-performs per entry.  product_norm deliberately multiplies dense 0/1
-matrices instead, so identity tests against the aggregated engine compare
-two independent arithmetic routes.
+each step and accumulates the scale, reporting a drift bound of 32 * eps
+per step plus 4 * eps times the largest accumulated scale, which generously
+covers the handful of roundings a step performs per entry.  product_norm
+deliberately multiplies dense 0/1 matrices instead, so identity tests
+against the aggregated engine compare two independent arithmetic routes.
 """
 
 from __future__ import annotations
@@ -58,12 +58,14 @@ def _normalize_holes(packed: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(set(packed)))
 
 
-def _step_exact(counts: list[int], packed: tuple[int, ...], p: Params) -> list[int]:
+def _step_exact(counts: list, packed: tuple[int, ...], p: Params, total=sum) -> list:
+    """One aggregated step on exact int counts, or on float states with
+    total=math.fsum for the m = 2 column sum."""
     b, m = p.b, p.m
     if m == 1:
         return [(b - len(packed)) * counts[0]]
     if m == 2:
-        s = sum(counts)
+        s = total(counts)
         new = [s] * b
         for w in packed:
             new[w % b] -= counts[w // b]
@@ -73,8 +75,9 @@ def _step_exact(counts: list[int], packed: tuple[int, ...], p: Params) -> list[i
     new = [0] * dim
     i = 0
     for x in range(sub):
-        t = 0
-        for c in range(b):
+        # starting from the first term keeps int and float sums apart
+        t = counts[x]
+        for c in range(1, b):
             t += counts[c * sub + x]
         for _ in range(b):
             new[i] = t
@@ -84,46 +87,8 @@ def _step_exact(counts: list[int], packed: tuple[int, ...], p: Params) -> list[i
     return new
 
 
-def _step_log_list(counts, packed, p):
-    """One renormalized float step; returns (state, log_scale) or None when
-    every state dies."""
-    b, m = p.b, p.m
-    if m == 1:
-        val = (b - len(packed)) * counts[0]
-        if val <= 0.0:
-            return None
-        return [1.0], math.log(val)
-    if m == 2:
-        s = math.fsum(counts)
-        new = [s] * b
-        for w in packed:
-            new[w % b] -= counts[w // b]
-    else:
-        sub = b ** (m - 2)
-        dim = sub * b
-        new = [0.0] * dim
-        i = 0
-        for x in range(sub):
-            t = 0.0
-            for c in range(b):
-                t += counts[c * sub + x]
-            for _ in range(b):
-                new[i] = t
-                i += 1
-        for w in packed:
-            new[w % dim] -= counts[w // b]
-    mx = 0.0
-    for v in new:
-        if v > mx:
-            mx = v
-    if mx <= 0.0:
-        return None
-    inv = 1.0 / mx
-    # exact counts are nonnegative; clamp float residue from cancellation
-    return [v * inv if v > 0.0 else 0.0 for v in new], math.log(mx)
-
-
-def _step_log_np(counts: np.ndarray, packed, p: Params):
+def _step_log_np(counts: np.ndarray, packed, p: Params) -> np.ndarray:
+    """Aggregated step on a wide float state, clamped at 0."""
     b, m = p.b, p.m
     dim = counts.shape[0]
     if m == 2:
@@ -132,12 +97,9 @@ def _step_log_np(counts: np.ndarray, packed, p: Params):
         new = np.repeat(counts.reshape(b, -1).sum(axis=0), b)
     for w in packed:
         new[w % dim] -= counts[w // b]
+    # exact counts are nonnegative; clamp float residue from cancellation
     np.maximum(new, 0.0, out=new)
-    mx = float(new.max())
-    if mx <= 0.0:
-        return None
-    new /= mx
-    return new, math.log(mx)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -260,22 +222,40 @@ def _series_log(s: HoleSchedule, k_max: int) -> LogSeries:
     scale_peak = 0.0
     steps = 0
     extinction_k = None
+    fsum, log = math.fsum, math.log  # local names keep the per-step cost flat
     for i in range(k_max - p.m + 1):
         packed = _normalize_holes(s.hole_at_packed(i))
-        out = _step_log_np(state, packed, p) if use_np else _step_log_list(state, packed, p)
+        if use_np:
+            new = _step_log_np(state, packed, p)
+            mx = float(new.max())
+        else:
+            new = _step_exact(state, packed, p, fsum)
+            mx = max(new)
         steps += 1
-        if out is None:
+        if mx <= 0.0:
             extinction_k = p.m + i
             break
-        state, inc = out
-        y = inc - comp
+        # renormalize by the maximum; the scale goes to the accumulator
+        if use_np:
+            new /= mx
+            state = new
+            total = float(np.sum(state))
+        elif dim > 1:
+            inv = 1.0 / mx
+            # exact counts are nonnegative; clamp float residue from cancellation
+            state = [v * inv if v > 0.0 else 0.0 for v in new]
+            total = fsum(state)
+        else:
+            # m = 1: mx * (1 / mx) can round below 1.0, so reset the state
+            state = [1.0]
+            total = 1.0
+        y = log(mx) - comp
         t = log_scale + y
         comp = (t - log_scale) - y
         log_scale = t
         if abs(log_scale) > scale_peak:
             scale_peak = abs(log_scale)
-        total = float(np.sum(state)) if use_np else math.fsum(state)
-        logs[p.m + i] = log_scale + math.log(total)
+        logs[p.m + i] = log_scale + log(total)
     return LogSeries(
         params=p,
         k_max=k_max,

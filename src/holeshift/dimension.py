@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import LogSeries, count_series
+from .counting import count_series
 from .model import Params
 from .schedules import FamilySchedule, HoleSchedule
 from .spectra import SpectraError, dominant_root, lambda_pq
@@ -70,35 +70,36 @@ def _window_start(k_max: int, window: float) -> int:
     return max(1, math.ceil((1.0 - window) * k_max))
 
 
-def estimate_dims(s: HoleSchedule, k_max: int, window: float = 0.5) -> DimReport:
-    """Window min/max of the stage exponents r_k up to k_max.
+def _log_counts(s: HoleSchedule, k_max: int) -> tuple[np.ndarray, float, int | None]:
+    """ln |Sigma_k| for 0 <= k <= k_max (-inf once the counts die), the
+    log engine's drift bound, and the first dead length.
 
     Uses the log engine for long runs (k_max >= 10^4) or large state spaces
     and exact integer counts otherwise.
     """
+    # exact integers stay cheap only for short runs on small state spaces
+    if k_max >= 10_000 or s.params.state_count >= 128:
+        ls = count_series(s, k_max, mode="log")
+        return ls.logs, ls.drift_bound, ls.extinction_k
+    logs = np.full(k_max + 1, -math.inf)
+    extinction_k = None
+    for k, c in enumerate(count_series(s, k_max, mode="exact")):
+        if c > 0:
+            logs[k] = math.log(c)
+        elif extinction_k is None:
+            extinction_k = k
+    return logs, 0.0, extinction_k
+
+
+def estimate_dims(s: HoleSchedule, k_max: int, window: float = 0.5) -> DimReport:
+    """Window min/max of the stage exponents r_k up to k_max."""
     if not isinstance(k_max, int) or k_max < 2:
         raise DimensionError(f"k_max must be an int >= 2, got {k_max!r}")
     if not 0.0 < window <= 1.0:
         raise DimensionError(f"window must be in (0, 1], got {window}")
     p = s.params
     logb = math.log(p.b)
-    drift = 0.0
-    extinction_k = None
-    # exact integers stay cheap only for short runs on small state spaces
-    if k_max >= 10_000 or p.state_count >= 128:
-        ls = count_series(s, k_max, mode="log")
-        assert isinstance(ls, LogSeries)
-        logs = ls.logs
-        drift = ls.drift_bound
-        extinction_k = ls.extinction_k
-    else:
-        counts = count_series(s, k_max, mode="exact")
-        logs = np.full(k_max + 1, -math.inf)
-        for k, c in enumerate(counts):
-            if c > 0:
-                logs[k] = math.log(c)
-            elif extinction_k is None:
-                extinction_k = k
+    logs, drift, extinction_k = _log_counts(s, k_max)
     ks = np.arange(k_max + 1, dtype=float)
     ks[0] = math.nan
     series = logs / (ks * logb)
@@ -296,18 +297,9 @@ def regularity_ratios(s: HoleSchedule, k_max: int, beta="auto") -> RegularityRep
     rate = _auto_rate(s) if beta == "auto" else float(beta)
     if rate <= 0:
         raise DimensionError(f"rate must be positive, got {rate}")
-    if k_max >= 10_000 or s.params.state_count >= 128:
-        ls = count_series(s, k_max, mode="log")
-        logs = ls.logs
-        if ls.extinction_k is not None:
-            raise DimensionError(f"counts die out at k={ls.extinction_k}")
-    else:
-        counts = count_series(s, k_max, mode="exact")
-        logs = np.empty(k_max + 1)
-        for k, c in enumerate(counts):
-            if c == 0:
-                raise DimensionError(f"counts die out at k={k}")
-            logs[k] = math.log(c)
+    logs, _, extinction_k = _log_counts(s, k_max)
+    if extinction_k is not None:
+        raise DimensionError(f"counts die out at k={extinction_k}")
     lr = logs[1:] - math.log(rate) * np.arange(1, k_max + 1)
     argmin = int(lr.argmin()) + 1
     argmax = int(lr.argmax()) + 1

@@ -10,7 +10,6 @@ certificates.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .counting import _step_exact, adjacency_matrix, count_exact
@@ -54,17 +53,12 @@ def _budget_guard(p: Params, n: int, budget: int) -> None:
             )
 
 
-def _dfs_maxima(p: Params, n: int, start_word: int | None = None) -> tuple[list[int], int]:
-    """Max product norm per depth 1..n, DFS over block sequences.
-
-    start_word restricts the first factor (used for the thread split).
-    """
+def _dfs_maxima(p: Params, n: int) -> tuple[list[int], int]:
+    """Max product norm per depth 1..n, DFS over block sequences."""
     best = [0] * (n + 1)
-    expanded = 0
     init = [1] * p.state_count
-    first = range(p.word_count) if start_word is None else (start_word,)
-    stack = [(1, _step_exact(init, (w,), p)) for w in reversed(first)]
-    expanded += len(first)
+    stack = [(1, _step_exact(init, (w,), p)) for w in reversed(range(p.word_count))]
+    expanded = len(stack)
     while stack:
         depth, counts = stack.pop()
         total = sum(counts)
@@ -84,25 +78,13 @@ def jsr_upper_po(p: Params, n: int) -> int:
     return count_exact(gen_progressive(p, (0,)), n + p.m - 1)
 
 
-def jsr_upper_exhaustive(
-    p: Params, n: int, budget: int = 10**7, threads: int = 1
-) -> JsrReport:
-    """Exhaustive depth-n norm maxima with the PO cross-check.
-
-    threads > 1 splits the search over the first factor; results are
-    identical for any thread count.
-    """
+def jsr_upper_exhaustive(p: Params, n: int, budget: int = 10**7) -> JsrReport:
+    """Exhaustive depth-n norm maxima with the PO cross-check."""
     _require_blocks(p)
     if n < 1:
         raise JsrError(f"depth must be >= 1, got {n}")
     _budget_guard(p, n, budget)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda w: _dfs_maxima(p, n, w), range(p.word_count)))
-        best = [max(part[0][d] for part in parts) for d in range(n)]
-        expanded = sum(part[1] for part in parts)
-    else:
-        best, expanded = _dfs_maxima(p, n)
+    best, expanded = _dfs_maxima(p, n)
     po = [jsr_upper_po(p, d) for d in range(1, n + 1)]
     return JsrReport(
         params=p,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
 
-from .model import Params, Word, check_word, unpack_word
+from .model import Params, Word, check_word, pack_word, unpack_word
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -279,6 +279,15 @@ class HoleSchedule:
             v = v * b + (self.stream.digit(i) if i >= 0 else 0)
         return v
 
+    def _avoiding_packed(self, k: int, v: int, first: int) -> tuple[int, ...]:
+        """Hole at k built on the packed leading digits v: digits first..m-1
+        avoid the last digits of the holes at k-m+first..k-1 (stream digits,
+        zero padded below index 0), and the last digit is stream digit k."""
+        b = self.params.b
+        for i in range(k - self.params.m + first, k):
+            v = v * b + _smallest_avoiding(self.stream.digit(i) if i >= 0 else 0)
+        return (v * b + self.stream.digit(k),)
+
 
 @dataclass(frozen=True)
 class ProgressiveOverlap(HoleSchedule):
@@ -328,13 +337,7 @@ class TotallyDistinct(HoleSchedule):
         self._check_position(k)
         if k == 0:
             return (self._window_packed(0),)
-        b, m = self.params.b, self.params.m
-        v = 0
-        for j in range(1, m):
-            i = k - m + j
-            prev_last = self.stream.digit(i) if i >= 0 else 0
-            v = v * b + _smallest_avoiding(prev_last)
-        return (v * b + self.stream.digit(k),)
+        return self._avoiding_packed(k, 0, 1)
 
     def scheduled_class(self, k: int) -> str | None:
         return "window" if k == 0 else "td"
@@ -426,13 +429,7 @@ class FamilySchedule(HoleSchedule):
         cls = self.scheduled_class(k)
         if cls != "td":
             return (self._window_packed(k),)
-        b, m = self.params.b, self.params.m
-        v = 0
-        for j in range(1, m):
-            i = k - m + j
-            prev_last = self.stream.digit(i) if i >= 0 else 0
-            v = v * b + _smallest_avoiding(prev_last)
-        return (v * b + self.stream.digit(k),)
+        return self._avoiding_packed(k, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -457,16 +454,10 @@ class MixedSchedule(HoleSchedule):
 
     def hole_at_packed(self, k: int) -> tuple[int, ...]:
         self._check_position(k)
-        b, m = self.params.b, self.params.m
+        m = self.params.m
         if k < m - 1:
             return (self._window_packed(k),)
-        i0 = k - m + 1
-        v = self.stream.digit(i0) if i0 >= 0 else 0
-        for j in range(2, m):
-            i = k - m + j
-            prev_last = self.stream.digit(i) if i >= 0 else 0
-            v = v * b + _smallest_avoiding(prev_last)
-        return (v * b + self.stream.digit(k),)
+        return self._avoiding_packed(k, self.stream.digit(k - m + 1), 2)
 
     def scheduled_class(self, k: int) -> str | None:
         return "window" if k < self.params.m - 1 else "mixed"
@@ -485,7 +476,7 @@ class PeriodicSchedule(HoleSchedule):
             raise ScheduleError("periodic schedule needs at least one word")
         for w in self.words:
             check_word(w, self.params, self.params.m)
-        packed = tuple(_pack(w, self.params.b) for w in self.words)
+        packed = tuple(pack_word(w, self.params) for w in self.words)
         object.__setattr__(self, "_packed", packed)
 
     def hole_at_packed(self, k: int) -> tuple[int, ...]:
@@ -522,7 +513,7 @@ class ExplicitSchedule(HoleSchedule):
                 check_word(w, self.params, self.params.m)
             uniq = sorted(set(ws))
             norm_sets.append(tuple(uniq))
-            packed_sets.append(tuple(_pack(w, self.params.b) for w in uniq))
+            packed_sets.append(tuple(pack_word(w, self.params) for w in uniq))
         object.__setattr__(self, "hole_sets", tuple(norm_sets))
         object.__setattr__(self, "_packed_sets", tuple(packed_sets))
 
@@ -555,13 +546,6 @@ class MultiSchedule(HoleSchedule):
         for c in self.children:
             vals.update(c.hole_at_packed(k))
         return tuple(sorted(vals))
-
-
-def _pack(word: Word, b: int) -> int:
-    v = 0
-    for d in word:
-        v = v * b + d
-    return v
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,23 @@ def test_computation_error_exits_two(capsys):
     assert "single hole" in err
 
 
+@pytest.mark.parametrize("flag", ["--series", "--log"])
+def test_prefix_with_series_or_log_exits_one(capsys, flag):
+    code, out, err = run(
+        capsys, "count", "-b", "3", "-m", "2", "--schedule", "po:seed=012",
+        "-k", "6", "--prefix", "10", flag,
+    )
+    assert code == 1
+    assert out == ""
+    assert "--prefix" in err
+
+
+def test_threads_is_unknown_option(capsys):
+    code, _, err = run(capsys, "jsr", "-b", "3", "-m", "2", "-n", "3", "--threads", "2")
+    assert code == 1
+    assert "unrecognized arguments" in err
+
+
 def test_bad_schedule_descriptor_exits_two(capsys):
     code, _, err = run(
         capsys, "count", "-b", "3", "-m", "2", "--schedule", "nonsense:x=1", "-k", "3"

@@ -75,14 +75,6 @@ def test_budget_guard():
         exhaustive_maxima(P32, 12, budget=10_000)
 
 
-def test_threads_deterministic():
-    one = jsr_upper_exhaustive(P32, 4, threads=1)
-    many = jsr_upper_exhaustive(P32, 4, threads=3)
-    assert one.max_norms == many.max_norms
-    assert one.upper_values == many.upper_values
-    assert one.po_matches and many.po_matches
-
-
 def test_validation():
     with pytest.raises(JsrError):
         jsr_upper_exhaustive(make_params(3, 1), 3)
