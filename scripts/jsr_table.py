@@ -14,14 +14,14 @@ def main() -> None:
     ap.add_argument("-b", type=int, default=3)
     ap.add_argument("-m", type=int, default=2)
     ap.add_argument("-n", type=int, default=6, help="max product depth")
-    ap.add_argument("--budget", type=int, default=10**7)
+    ap.add_argument("--budget", type=int, default=10**7, help="cap on distinct expansions")
     args = ap.parse_args()
 
     p = make_params(args.b, args.m)
     lam = dominant_root("lambda", p).value
     rep = jsr_upper_exhaustive(p, args.n, budget=args.budget)
 
-    print(f"b={p.b} m={p.m}  lambda={lam:.12f}  nodes={rep.nodes_expanded}")
+    print(f"b={p.b} m={p.m}  lambda={lam:.12f}  distinct_expansions={rep.nodes_expanded}")
     print(f"{'n':>3} {'max norm':>12} {'bound':>14} {'excess':>10} {'po match':>9}")
     for i, n in enumerate(rep.depths):
         print(

@@ -543,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
     j = sp.add_parser("jsr", help="joint spectral radius bounds")
     _add_common(j, schedule=False)
     j.add_argument("-n", type=int, default=4, help="product depth")
-    j.add_argument("--budget", type=int, default=10**7, help="node expansion budget")
+    j.add_argument("--budget", type=int, default=10**7, help="cap on distinct (vector, word) expansions")
     j.add_argument("--check-periodic", help="words w1|w2|... to test as a periodic product")
     j.set_defaults(func=_cmd_jsr)
 

@@ -190,8 +190,8 @@ def count_series(s: HoleSchedule, k_max: int, mode: str = "exact"):
 
 def _series_exact(s: HoleSchedule, k_max: int) -> list[int]:
     p = s.params
-    if not isinstance(k_max, int) or k_max < 1:
-        raise CountingError(f"k_max must be an int >= 1, got {k_max!r}")
+    if not isinstance(k_max, int) or k_max < 0:
+        raise CountingError(f"k_max must be an int >= 0, got {k_max!r}")
     series = [p.b**k for k in range(min(k_max, p.m - 1) + 1)]
     if k_max < p.m:
         return series
@@ -205,8 +205,8 @@ def _series_exact(s: HoleSchedule, k_max: int) -> list[int]:
 
 def _series_log(s: HoleSchedule, k_max: int) -> LogSeries:
     p = s.params
-    if not isinstance(k_max, int) or k_max < 1:
-        raise CountingError(f"k_max must be an int >= 1, got {k_max!r}")
+    if not isinstance(k_max, int) or k_max < 0:
+        raise CountingError(f"k_max must be an int >= 0, got {k_max!r}")
     logb = math.log(p.b)
     logs = np.full(k_max + 1, -math.inf)
     top = min(k_max, p.m - 1)

@@ -6,6 +6,12 @@ exhaustive maximum equals the PO survivor count at stage n+m-1 exactly, and
 the normalized values max^(1/n) decrease to lambda from above.  Periodic
 products whose pattern is PO realize the value exactly, giving finiteness
 certificates.
+
+The exhaustive search runs layer by layer over distinct count vectors:
+the depth-d norm of a block sequence depends only on the count vector it
+reaches, and most sequences reach the same few, so each layer keeps one
+entry per distinct vector.  The budget counts (vector, word) expansions
+as the search makes them.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ class JsrReport:
     upper_values: list[float]
     po_norms: list[int]
     po_matches: bool
-    nodes_expanded: int
+    nodes_expanded: int  # (vector, word) expansions over distinct vectors
 
 
 def _require_blocks(p: Params) -> None:
@@ -40,36 +46,38 @@ def _require_blocks(p: Params) -> None:
         raise JsrError("transition blocks need m >= 2")
 
 
-def _budget_guard(p: Params, n: int, budget: int) -> None:
-    nodes = 0
-    layer = 1
-    for _ in range(n):
-        layer *= p.word_count
-        nodes += layer
-        if nodes > budget:
-            raise JsrError(
-                f"exhaustive search needs ~{p.word_count}^{n} node expansions, "
-                f"over the budget of {budget}"
-            )
+def _search(p: Params, n: int, budget: int, links: bool = False):
+    """Yield layers 1..n of the search and the expansions made so far.
 
-
-def _dfs_maxima(p: Params, n: int) -> tuple[list[int], int]:
-    """Max product norm per depth 1..n, DFS over block sequences."""
-    best = [0] * (n + 1)
-    init = [1] * p.state_count
-    stack = [(1, _step_exact(init, (w,), p)) for w in reversed(range(p.word_count))]
-    expanded = len(stack)
-    while stack:
-        depth, counts = stack.pop()
-        total = sum(counts)
-        if total > best[depth]:
-            best[depth] = total
-        if depth == n or total == 0:
-            continue
-        for w in range(p.word_count):
-            stack.append((depth + 1, _step_exact(counts, (w,), p)))
-            expanded += 1
-    return best[1:], expanded
+    Layer d maps each distinct count vector that a depth-d block sequence
+    reaches to the (parent vector, word) links into it, or to None when
+    links is false.  Zero vectors are kept but not expanded.  Raises
+    JsrError once the (vector, word) expansions pass the budget.
+    """
+    _require_blocks(p)
+    if n < 1:
+        raise JsrError(f"depth must be >= 1, got {n}")
+    layer = dict.fromkeys([(1,) * p.state_count])
+    expanded = 0
+    for d in range(1, n + 1):
+        nxt: dict = {}
+        for counts in layer:
+            if not any(counts):
+                continue
+            expanded += p.word_count
+            if expanded > budget:
+                raise JsrError(
+                    f"search passed the budget of {budget} distinct expansions "
+                    f"at depth {d} of {n}"
+                )
+            for w in range(p.word_count):
+                child = tuple(_step_exact(counts, (w,), p))
+                if links:
+                    nxt.setdefault(child, []).append((counts, w))
+                else:
+                    nxt[child] = None
+        layer = nxt
+        yield layer, expanded
 
 
 def jsr_upper_po(p: Params, n: int) -> int:
@@ -80,11 +88,10 @@ def jsr_upper_po(p: Params, n: int) -> int:
 
 def jsr_upper_exhaustive(p: Params, n: int, budget: int = 10**7) -> JsrReport:
     """Exhaustive depth-n norm maxima with the PO cross-check."""
-    _require_blocks(p)
-    if n < 1:
-        raise JsrError(f"depth must be >= 1, got {n}")
-    _budget_guard(p, n, budget)
-    best, expanded = _dfs_maxima(p, n)
+    best = []
+    expanded = 0
+    for layer, expanded in _search(p, n, budget):
+        best.append(max(map(sum, layer)))
     po = [jsr_upper_po(p, d) for d in range(1, n + 1)]
     return JsrReport(
         params=p,
@@ -105,29 +112,16 @@ def exhaustive_maxima(
     Returns (max_norm, sequences) with each sequence a tuple of packed
     words, sorted lexicographically.
     """
-    _require_blocks(p)
-    if n < 1:
-        raise JsrError(f"depth must be >= 1, got {n}")
-    _budget_guard(p, n, budget)
-    best = 0
-    argmax: list[tuple[int, ...]] = []
-    init = [1] * p.state_count
-    stack = [((w,), _step_exact(init, (w,), p)) for w in reversed(range(p.word_count))]
-    while stack:
-        seq, counts = stack.pop()
-        if len(seq) == n:
-            total = sum(counts)
-            if total > best:
-                best = total
-                argmax = [seq]
-            elif total == best:
-                argmax.append(seq)
-            continue
-        if sum(counts) == 0:
-            continue
-        for w in reversed(range(p.word_count)):
-            stack.append((seq + (w,), _step_exact(counts, (w,), p)))
-    return best, sorted(argmax)
+    layers = [None] + [layer for layer, _ in _search(p, n, budget, links=True)]
+    best = max(map(sum, layers[n]))
+
+    def paths(d, counts):
+        if d == 0:
+            return [()]
+        return [seq + (w,) for parent, w in layers[d][counts] for seq in paths(d - 1, parent)]
+
+    tops = [counts for counts in layers[n] if sum(counts) == best]
+    return best, sorted(seq for counts in tops for seq in paths(n, counts))
 
 
 @dataclass

@@ -159,6 +159,12 @@ def test_computation_error_exits_two(capsys):
     assert "single hole" in err
 
 
+def test_dim_k_max_zero_exits_two(capsys):
+    code, out, err = run(capsys, "dim", "-b", "3", "-m", "2", "--schedule", "po:seed=012", "--k-max", "0")
+    assert (code, out) == (2, "")
+    assert "k_max must be an int >= 2" in err
+
+
 @pytest.mark.parametrize("flag", ["--series", "--log"])
 def test_prefix_with_series_or_log_exits_one(capsys, flag):
     code, out, err = run(

@@ -310,7 +310,11 @@ def test_count_exact_validation():
     with pytest.raises(CountingError):
         count_exact(s, -1)
     with pytest.raises(CountingError):
-        count_series(s, 0, mode="exact")
+        count_series(s, -1, mode="exact")
+    with pytest.raises(CountingError):
+        count_series(s, -1, mode="log")
+    assert count_series(s, 0, mode="exact") == [1]
+    assert count_series(s, 0, mode="log").logs.tolist() == [0.0]
     with pytest.raises(CountingError):
         count_series(s, 5, mode="weird")
 

@@ -30,6 +30,9 @@ GOLDEN = [
     # exact counts
     (("count", *PO3, "-k", "40"), 0, "2ea7c0b3bf53115b22c0a006dc34f7e8fc0076879558f7e423407d82e9b74d80"),
     (("count", *PO3, "-k", "40", "--json"), 0, "201c44de20461d37d8f3de8b4c55963dea14ec979b6d2446ceb9a4f40859ad9a"),
+    # k = 0 gives the empty word alone, on every route
+    (("count", *PO3, "-k", "0", "--series"), 0, "a79122992d53d358e6bbbbb98883d64fa0c15df3bcb08ff7b65a0580870af424"),
+    (("count", *PO3, "-k", "0", "--log"), 0, "51ff0d2f0d3a5d61edec31785532ea0d570f8c348d58b15b94ff9c2ca6e926a4"),
     (("count", *PO3, "-k", "12", "--prefix", "10"), 0, "c9af1048392b20c12bcb8f90e54719c55447a6961a0248ac466d1c6c3ba8dc97"),
     (("count", *PO3, "-k", "12", "--prefix", "10", "--json"), 0, "659186930fa38089b1c8c21424dc258f5f1caa300c80c0c780f562bf5cb58466"),
     (("count", "-b", "3", "-m", "3", "--schedule", "td:seed=rng:5", "-k", "60", "--series"), 0, "ac55f165133a73c08dcf92e2ff06763ee48be5cbea4916f29b1296ee11f38bbe"),
@@ -73,6 +76,14 @@ GOLDEN = [
     (("jsr", "-b", "3", "-m", "2", "-n", "5"), 0, "be02237b0261443af115477ecff951a6b57a82293b8db3280896788908793771"),
     (("jsr", "-b", "2", "-m", "3", "-n", "4", "--json", "--check-periodic", "001|011"), 0, "486666f1b421da507962263f344999ea946e3e4fcddc62eab2bc499ca8ac67ce"),
     (("jsr", "-b", "3", "-m", "2", "-n", "4", "--csv"), 0, "6ea64d0c310aa8a54d90dc581c7576527b844050e90f1d38e76f04136d9d79ea"),
+    # the five jsr argv of the jsr-spectra bench workload
+    (("jsr", "-b", "3", "-m", "2", "-n", "6", "--json"), 0, "6bfafd507a321ba19492fb054d43f8627adf4879a22222ee50c7b301559be1de"),
+    (("jsr", "-b", "2", "-m", "3", "-n", "6", "--json"), 0, "8111b776abd44545c01271d8161ecd3e0c6c72d9280e02188648752a1658b49c"),
+    (("jsr", "-b", "2", "-m", "2", "-n", "9", "--csv"), 0, "972269b2c1277b3a7dfe81c5a9f1ab6d8259ef1919ea8cb2e9ae43c36f40e566"),
+    (("jsr", "-b", "4", "-m", "2", "-n", "5", "--json"), 0, "706a34374074279ce2339248f3fb0ce8ed39674c19c4de9dbca356123a466a3c"),
+    (("jsr", "-b", "3", "-m", "3", "-n", "4"), 0, "ab4ff4fef7283fbb186d7f443fc65a8331030adb748743dbb9c49d9f6de4e858"),
+    # over the budget: 55,278 distinct expansions against 10,000
+    (("jsr", "-b", "3", "-m", "2", "-n", "12", "--budget", "10000"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # build-pq
     (("build-pq", "-m", "2", "--s", "1/4", "--t", "1/2", "--cycles", "6"), 0, "63cd080ffb6d6dcf5dddfed0ad065600a0d01802cb14109d1a588ee099871f70"),
     (("build-pq", "-m", "3", "--p", "2", "--q", "1", "--gap", "none", "--json"), 0, "ae4b62faae9c030b7638e9a8aab20bd7396cf64b2903ed2327eaf585efc40f08"),

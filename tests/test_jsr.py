@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from holeshift import (
@@ -12,6 +14,7 @@ from holeshift import (
     jsr_upper_exhaustive,
     jsr_upper_po,
     make_params,
+    product_norm,
     unpack_word,
 )
 
@@ -68,11 +71,54 @@ def test_argmax_classifies_po():
         assert classify_position(s, k).value == "po"
 
 
+def _enumerated(p, n):
+    """Per-depth maxima and the sorted depth-n argmax over every word
+    sequence, scored with dense matrix products."""
+    words = [unpack_word(v, p.m, p) for v in range(p.word_count)]
+    maxima = []
+    for d in range(1, n + 1):
+        norms = {
+            seq: product_norm(p, [words[v] for v in seq])
+            for seq in itertools.product(range(p.word_count), repeat=d)
+        }
+        maxima.append(max(norms.values()))
+    return maxima, sorted(seq for seq, v in norms.items() if v == maxima[-1])
+
+
+@pytest.mark.parametrize("b,m,n", [(2, 2, 6), (3, 2, 4), (2, 3, 4), (4, 2, 3), (3, 3, 2)])
+def test_search_matches_enumeration(b, m, n):
+    p = make_params(b, m)
+    maxima, argmax = _enumerated(p, n)
+    assert jsr_upper_exhaustive(p, n).max_norms == maxima
+    assert exhaustive_maxima(p, n) == (maxima[-1], argmax)
+
+
 def test_budget_guard():
     with pytest.raises(JsrError, match="budget"):
         jsr_upper_exhaustive(P32, 12, budget=10_000)
     with pytest.raises(JsrError, match="budget"):
         exhaustive_maxima(P32, 12, budget=10_000)
+
+
+def test_budget_counts_distinct_expansions():
+    p = make_params(3, 3)
+    need = jsr_upper_exhaustive(p, 4).nodes_expanded
+    assert need == 4_644
+    assert jsr_upper_exhaustive(p, 4, budget=need).nodes_expanded == need
+    assert exhaustive_maxima(p, 4, budget=need)[0] == 648
+    with pytest.raises(JsrError, match="budget"):
+        jsr_upper_exhaustive(p, 4, budget=need - 1)
+    with pytest.raises(JsrError, match="budget"):
+        exhaustive_maxima(p, 4, budget=need - 1)
+
+
+@pytest.mark.parametrize("b,m,n", [(3, 2, 14), (2, 3, 8)])
+def test_deep_search_within_default_budget(b, m, n):
+    # both trees have over 10^7 nodes; the distinct vectors fit the budget
+    p = make_params(b, m)
+    rep = jsr_upper_exhaustive(p, n)
+    assert rep.po_matches
+    assert rep.nodes_expanded < 10**7
 
 
 def test_validation():
