@@ -98,6 +98,13 @@ def _int_option(kv: dict[str, str], key: str, kind: str) -> int:
         raise ScheduleError(f"{kind} option {key}= must be an integer, got {val!r}") from None
 
 
+def _targets(s: str, t: str) -> tuple[Fraction, Fraction]:
+    try:
+        return Fraction(s), Fraction(t)
+    except (ValueError, ZeroDivisionError):
+        raise ScheduleError(f"family targets must be rationals, got s={s!r}, t={t!r}") from None
+
+
 def parse_schedule(text: str, p: Params) -> HoleSchedule:
     """Parse a schedule descriptor (see the module docstring for the grammar)."""
     text = text.strip()
@@ -140,14 +147,8 @@ def parse_schedule(text: str, p: Params) -> HoleSchedule:
         if has_targets:
             if "s" not in kv or "t" not in kv:
                 raise ScheduleError("family descriptor needs both s= and t=")
-            try:
-                s_frac, t_frac = Fraction(kv["s"]), Fraction(kv["t"])
-            except (ValueError, ZeroDivisionError):
-                raise ScheduleError(
-                    f"family targets must be rationals, got s={kv['s']!r}, t={kv['t']!r}"
-                ) from None
             p1 = _int_option(kv, "p1", kind) if "p1" in kv else 1
-            pq = build_pq_schedule(p.m, s_frac, t_frac, p1)
+            pq = build_pq_schedule(p.m, *_targets(kv["s"], kv["t"]), p1)
         else:
             if "p" not in kv or "q" not in kv:
                 raise ScheduleError("family descriptor needs both p= and q=")
@@ -210,32 +211,38 @@ def _f(x):
     return "nan"
 
 
+def _objects(header: list[str], rows) -> list[dict]:
+    """JSON row objects for a table: one dict per row, keyed by the header."""
+    return [dict(zip(header, row)) for row in rows]
+
+
 def _emit(
     args,
     command: str,
-    result: dict,
-    human: list[str],
+    result,
+    human=(),
     *,
-    csv_header: list[str] | None = None,
-    csv_rows: list[list] | None = None,
+    table: tuple[list[str], list] | None = None,
     params: Params | None = None,
     schedule: str | None = None,
     force_json: bool = False,
 ) -> int:
-    if getattr(args, "csv", False):
-        if csv_rows is None:
+    """Print the one form asked for.  result may be a function, called only
+    for JSON; human is any iterable of lines; table is (header, rows)."""
+    if args.csv:
+        if table is None:
             raise _UsageError(f"{command} has no tabular output; drop --csv")
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        writer.writerow(table[0])
+        writer.writerows(table[1])
         return 0
-    if getattr(args, "json", False) or force_json:
+    if args.json or force_json:
         doc: dict = {"schema_version": SCHEMA_VERSION, "command": command}
         if params is not None:
             doc["params"] = {"b": params.b, "m": params.m, "verified": params.verified}
         if schedule is not None:
             doc["schedule"] = schedule
-        doc["result"] = result
+        doc["result"] = result() if callable(result) else result
         print(json.dumps(doc, indent=2))
         return 0
     for line in human:
@@ -289,66 +296,49 @@ def _cmd_count(args) -> int:
         raise _UsageError("--prefix gives one exact count; drop --series and --log")
     p = make_params(args.b, args.m)
     s = parse_schedule(args.schedule, p)
-    desc = format_schedule(s)
-    if args.series:
-        if args.log:
-            ls = count_series(s, args.k, mode="log")
-            rows = [[k, _f(ls.logs[k])] for k in range(args.k + 1)]
-            result = {
-                "series_log": [{"k": k, "log_count": v} for k, v in rows],
-                "drift_bound": _f(ls.drift_bound),
-                "extinction_k": ls.extinction_k,
-            }
-            human = [f"{k} {v}" for k, v in rows]
-            return _emit(
-                args, "count", result, human,
-                csv_header=["k", "log_count"], csv_rows=rows, params=p, schedule=desc,
-            )
-        counts = count_series(s, args.k, mode="exact")
-        rows = [[k, str(c)] for k, c in enumerate(counts)]
-        result = {"series": [{"k": k, "count": c} for k, c in rows]}
-        human = [f"{k} {c}" for k, c in rows]
-        return _emit(
-            args, "count", result, human,
-            csv_header=["k", "count"], csv_rows=rows, params=p, schedule=desc,
-        )
+    table = None
     if args.prefix is not None:
-        c = count_from_prefix(s, parse_word(args.prefix, p), args.k)
-        result = {"k": args.k, "prefix": args.prefix, "count": str(c)}
-        return _emit(args, "count", result, [str(c)], params=p, schedule=desc)
-    if args.log:
+        c = str(count_from_prefix(s, parse_word(args.prefix, p), args.k))
+        result, human = {"k": args.k, "prefix": args.prefix, "count": c}, [c]
+    elif args.log:
         ls = count_series(s, args.k, mode="log")
-        result = {
-            "k": args.k,
-            "log_count": _f(ls.logs[args.k]),
-            "drift_bound": _f(ls.drift_bound),
-            "extinction_k": ls.extinction_k,
-        }
-        return _emit(args, "count", result, [f"{_f(ls.logs[args.k])}"], params=p, schedule=desc)
-    c = count_exact(s, args.k)
-    result = {"k": args.k, "count": str(c)}
-    return _emit(args, "count", result, [str(c)], params=p, schedule=desc)
+        tail = {"drift_bound": _f(ls.drift_bound), "extinction_k": ls.extinction_k}
+        if args.series:
+            table = (["k", "log_count"], list(enumerate(map(_f, ls.logs.tolist()))))
+            result = lambda: {"series_log": _objects(*table), **tail}
+        else:
+            v = _f(ls.logs[args.k])
+            result, human = {"k": args.k, "log_count": v, **tail}, [str(v)]
+    elif args.series:
+        counts = count_series(s, args.k, mode="exact")
+        table = (["k", "count"], [(k, str(c)) for k, c in enumerate(counts)])
+        result = lambda: {"series": _objects(*table)}
+    else:
+        c = str(count_exact(s, args.k))
+        result, human = {"k": args.k, "count": c}, [c]
+    if table is not None:
+        human = (f"{k} {v}" for k, v in table[1])
+    return _emit(
+        args, "count", result, human, table=table, params=p, schedule=format_schedule(s)
+    )
 
 
 def _cmd_classify(args) -> int:
     p = make_params(args.b, args.m)
     s = parse_schedule(args.schedule, p)
-    desc = format_schedule(s)
     k_to = args.to if args.to is not None else args.k
     if k_to < args.k:
         raise _UsageError("--to must be >= -k")
-    positions, rows, human = [], [], []
-    for k in range(args.k, k_to + 1):
-        cls = classify_position(s, k).value
-        holes = "|".join(format_word(w) for w in s.hole_at(k))
-        scheduled = s.scheduled_class(k)
-        positions.append({"k": k, "class": cls, "holes": holes, "scheduled": scheduled})
-        rows.append([k, cls, holes, scheduled if scheduled is not None else ""])
-        human.append(f"k={k}  {cls:7s}  hole {holes}")
+    header = ["k", "class", "holes", "scheduled"]
+    rows = [
+        (k, classify_position(s, k).value, "|".join(map(format_word, s.hole_at(k))),
+         s.scheduled_class(k))
+        for k in range(args.k, k_to + 1)
+    ]
     return _emit(
-        args, "classify", {"positions": positions}, human,
-        csv_header=["k", "class", "holes", "scheduled"], csv_rows=rows,
-        params=p, schedule=desc,
+        args, "classify", lambda: {"positions": _objects(header, rows)},
+        (f"k={k}  {cls:7s}  hole {holes}" for k, cls, holes, _ in rows),
+        table=(header, rows), params=p, schedule=format_schedule(s),
     )
 
 
@@ -366,7 +356,7 @@ def _cmd_dim(args) -> int:
         "extinction_k": rep.extinction_k,
     }
     if args.predict:
-        pred = predict_dims(s)
+        pred = rep.prediction if rep.prediction is not None else predict_dims(s)
         result["prediction"] = {
             "hausdorff": _f(pred.hausdorff),
             "packing": _f(pred.packing),
@@ -375,9 +365,7 @@ def _cmd_dim(args) -> int:
             "basis": pred.basis,
             "verified": pred.verified,
         }
-    return _emit(
-        args, "dim", result, [], params=p, schedule=format_schedule(s), force_json=True
-    )
+    return _emit(args, "dim", result, params=p, schedule=format_schedule(s), force_json=True)
 
 
 def _cmd_regularity(args) -> int:
@@ -408,13 +396,13 @@ def _cmd_regularity(args) -> int:
 
 
 def _cmd_jsr(args) -> int:
+    if args.csv and args.check_periodic is not None:
+        raise _UsageError("--check-periodic has no tabular output; drop --csv")
     p = make_params(args.b, args.m)
     rep = jsr_upper_exhaustive(p, args.n, budget=args.budget)
     lam = dominant_root("lambda", p).value
-    rows = [
-        [d, str(mn), _f(val), str(po)]
-        for d, mn, val, po in zip(rep.depths, rep.max_norms, rep.upper_values, rep.po_norms)
-    ]
+    levels = list(zip(rep.depths, rep.max_norms, rep.upper_values, rep.po_norms))
+    rows = [(d, str(mn), _f(val), str(po)) for d, mn, val, po in levels]
     result = {
         "depths": rep.depths,
         "max_norms": [str(v) for v in rep.max_norms],
@@ -424,10 +412,7 @@ def _cmd_jsr(args) -> int:
         "lambda": _f(lam),
     }
     human = [f"lambda = {lam:.12f}"]
-    human += [
-        f"n={d}  max norm {mn}  bound {val:.9f}  po {po}"
-        for d, mn, val, po in zip(rep.depths, rep.max_norms, rep.upper_values, rep.po_norms)
-    ]
+    human += [f"n={d}  max norm {mn}  bound {val:.9f}  po {po}" for d, mn, val, po in levels]
     human.append(
         "exhaustive maxima match the PO counts" if rep.po_matches
         else "exhaustive maxima DIFFER from the PO counts"
@@ -447,7 +432,7 @@ def _cmd_jsr(args) -> int:
         )
     return _emit(
         args, "jsr", result, human,
-        csv_header=["depth", "max_norm", "upper_value", "po_norm"], csv_rows=rows, params=p,
+        table=(["depth", "max_norm", "upper_value", "po_norm"], rows), params=p,
     )
 
 
@@ -459,8 +444,9 @@ def _cmd_build_pq(args) -> int:
     if has_targets:
         if args.s is None or args.t is None:
             raise _UsageError("--s and --t go together")
-        pq = build_pq_schedule(args.m, Fraction(args.s), Fraction(args.t), args.p1)
-        targets = {"s": str(Fraction(args.s)), "t": str(Fraction(args.t)), "p1": args.p1}
+        s_frac, t_frac = _targets(args.s, args.t)
+        pq = build_pq_schedule(args.m, s_frac, t_frac, args.p1)
+        targets = {"s": str(s_frac), "t": str(t_frac), "p1": args.p1}
         fixed = None
     else:
         if args.p is None or args.q is None:
@@ -468,19 +454,17 @@ def _cmd_build_pq(args) -> int:
         pq = PQSchedule(gap_mode=args.gap, m=args.m, fixed=(args.p, args.q))
         targets = None
         fixed = [args.p, args.q]
-    rows = [[n, pq.p(n), pq.q(n), pq.ell(n)] for n in range(1, args.cycles + 1)]
+    header = ["n", "p", "q", "ell"]
+    rows = [(n, pq.p(n), pq.q(n), pq.ell(n)) for n in range(1, args.cycles + 1)]
     result = {
         "gap_mode": pq.gap_mode,
         "m": args.m,
         "targets": targets,
         "fixed": fixed,
-        "rows": [{"n": n, "p": pn, "q": qn, "ell": en} for n, pn, qn, en in rows],
+        "rows": _objects(header, rows),
     }
-    human = ["n p q ell"] + [f"{n} {pn} {qn} {en}" for n, pn, qn, en in rows]
-    return _emit(
-        args, "build-pq", result, human,
-        csv_header=["n", "p", "q", "ell"], csv_rows=rows,
-    )
+    human = [" ".join(header)] + [f"{n} {pn} {qn} {en}" for n, pn, qn, en in rows]
+    return _emit(args, "build-pq", result, human, table=(header, rows))
 
 
 # ---------------------------------------------------------------------------

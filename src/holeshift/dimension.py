@@ -295,8 +295,8 @@ def regularity_ratios(s: HoleSchedule, k_max: int, beta="auto") -> RegularityRep
     if not isinstance(k_max, int) or k_max < 2:
         raise DimensionError(f"k_max must be an int >= 2, got {k_max!r}")
     rate = _auto_rate(s) if beta == "auto" else float(beta)
-    if rate <= 0:
-        raise DimensionError(f"rate must be positive, got {rate}")
+    if not (math.isfinite(rate) and rate > 0):
+        raise DimensionError(f"rate must be positive and finite, got {rate}")
     logs, _, extinction_k = _log_counts(s, k_max)
     if extinction_k is not None:
         raise DimensionError(f"counts die out at k={extinction_k}")
@@ -317,7 +317,7 @@ def regularity_ratios(s: HoleSchedule, k_max: int, beta="auto") -> RegularityRep
         log_max=log_max,
         argmin_k=argmin,
         argmax_k=argmax,
-        min_ratio=math.exp(log_min) if log_min > -700 else 0.0,
+        min_ratio=0.0 if log_min <= -700 else math.exp(log_min) if log_min < 700 else math.inf,
         max_ratio=math.exp(log_max) if log_max < 700 else math.inf,
         spread=math.exp(spread_full) if spread_full < 700 else math.inf,
         unbounded_trend=bool(trend),

@@ -182,6 +182,33 @@ def test_threads_is_unknown_option(capsys):
     assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("targets", [("1/0", "1/2"), ("1/4", "1/0"), ("abc", "1/2")])
+def test_build_pq_bad_targets_exit_two(capsys, targets):
+    s, t = targets
+    code, out, err = run(capsys, "build-pq", "-m", "2", "--s", s, "--t", t)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_jsr_csv_with_check_periodic_exits_one(capsys):
+    code, out, err = run(
+        capsys, "jsr", "-b", "3", "-m", "2", "-n", "3", "--csv", "--check-periodic", "01"
+    )
+    assert (code, out) == (1, "")
+    assert "--check-periodic" in err
+
+
+def test_dim_predict_reuses_the_report(capsys, monkeypatch):
+    import holeshift.cli as cli
+
+    argv = ("dim", "-b", "3", "-m", "2", "--schedule", "po:seed=0", "--k-max", "200", "--predict")
+    _, expected, _ = run(capsys, *argv)
+    calls = []
+    monkeypatch.setattr(cli, "predict_dims", lambda s: calls.append(s))
+    code, out, _ = run(capsys, *argv)
+    assert (code, out, calls) == (0, expected, [])
+
+
 def test_bad_schedule_descriptor_exits_two(capsys):
     code, _, err = run(
         capsys, "count", "-b", "3", "-m", "2", "--schedule", "nonsense:x=1", "-k", "3"

@@ -198,6 +198,20 @@ def test_regularity_validation():
         regularity_ratios(s, 50, beta=0.0)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_regularity_refuses_rates_that_are_not_finite(beta):
+    s = gen_progressive(P32, (0,))
+    with pytest.raises(DimensionError, match="finite"):
+        regularity_ratios(s, 50, beta=beta)
+
+
+def test_regularity_tiny_rate_overflows_to_inf():
+    # log(1e-320) is about -737, so every log ratio is above 700
+    reg = regularity_ratios(gen_progressive(P32, (0,)), 50, beta=1e-320)
+    assert reg.log_min > 700
+    assert reg.min_ratio == reg.max_ratio == math.inf
+
+
 # ---------------------------------------------------------------------------
 # bounds and checkpoints
 

@@ -20,6 +20,8 @@ from holeshift.cli import main
 
 PO3 = ("-b", "3", "-m", "2", "--schedule", "po:seed=012")
 EXTINCT = ("-b", "2", "-m", "1", "--schedule", "multi:(periodic:0);(periodic:1)")
+PO0 = ("-b", "3", "-m", "2", "--schedule", "po:seed=0")
+PERIODIC2 = ("-b", "3", "-m", "2", "--schedule", "periodic:01|12")
 
 # (argv, exit code, sha256 of stdout)
 GOLDEN = [
@@ -62,20 +64,33 @@ GOLDEN = [
     (("classify", "-b", "3", "-m", "3", "--schedule", "mixed:seed=01", "-k", "1", "--to", "8"), 0, "d9f634c1b92abc3e9573e195c6119493c8b92fdcebb03990f72d8e7692b9b02c"),
     (("classify", "-b", "3", "-m", "2", "--schedule", "lpq:p=1,q=2,seed=0", "-k", "1", "--to", "9", "--json"), 0, "5990351e826fa398a2f2b2afb8cdb4d20fd374f6a8fad224020d18d22f141943"),
     (("classify", "-b", "3", "-m", "2", "--schedule", "family:p=1,q=1,seed=0", "-k", "1", "--to", "9", "--csv"), 0, "cd4b6441141f27bd8044400890c5991f4abe9d4abe47e9595d7806b4386dc5d4"),
+    # periodic schedules have no scheduled class: an empty CSV cell, JSON null
+    (("classify", *PERIODIC2, "-k", "1", "--to", "6"), 0, "57f5361d94638d011435c71af8776f8d07bee4058b8e4e8d64ff3a50cd2a498a"),
+    (("classify", *PERIODIC2, "-k", "1", "--to", "6", "--json"), 0, "c8c3d8f3325d7cb51ed62d47204f86b5e0c74db53aa1fc8140c713398845989d"),
+    (("classify", *PERIODIC2, "-k", "1", "--to", "6", "--csv"), 0, "4490c0fd3b9e171edf398381fa6de0fae9a7a29b4dc2c09968a7113aa9d41f15"),
     # dim on both sides of k_max = 10_000, and at 128 states below it
     (("dim", "-b", "3", "-m", "2", "--schedule", "po:seed=0", "--k-max", "2000", "--predict"), 0, "b456539b96dd8cf7f1d134a69df6047179dd21175d4c099109c464efc6567e85"),
     (("dim", "-b", "3", "-m", "3", "--schedule", "td:seed=rng:1", "--k-max", "12000", "--predict"), 0, "39d1fee14246813d56b1f9ba08b61160f11096545c286a521157dd768a706cc0"),
     (("dim", "-b", "3", "-m", "2", "--schedule", "family:s=1/4,t=1/2,p1=1,seed=0", "--k-max", "10000", "--predict"), 0, "b1cc65a3f6810cdbefdbdcf7e003fb7654ce6c8ab05491fbd8050853bba9d28e"),
     (("dim", "-b", "2", "-m", "8", "--schedule", "po:seed=01101", "--k-max", "1500"), 0, "22753802625227a39fe348bce4f9dac1341160ed449fb4ad30184c8840cc1999"),
     (("dim", "-b", "3", "-m", "2", "--schedule", "po:seed=0", "--k-max", "200", "--csv"), 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # --predict with no closed form: after an extinction, and where the root search fails
+    (("dim", *EXTINCT, "--k-max", "20", "--predict"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("dim", "-b", "2", "-m", "60", "--schedule", "po:seed=0", "--k-max", "2", "--predict"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # regularity on both sides of k_max = 10_000
     (("regularity", "-b", "3", "-m", "2", "--schedule", "lpq:p=1,q=1,seed=0", "--k-max", "3000"), 0, "b4c9dd0082a7366073be4ede994129729bd2d089103a5c915007e79e125afa5e"),
     (("regularity", "-b", "3", "-m", "3", "--schedule", "mixed:seed=0", "--k-max", "9999", "--json"), 0, "f2227638a1789728788d10dcf33f8ef6b13edfa7e31a6bfb185915c7a0e16367"),
     (("regularity", "-b", "3", "-m", "2", "--schedule", "po:seed=rng:4", "--k-max", "10000", "--json"), 0, "16ba70d28c867d2fc63f0cd449df386091641ab21b3bf73b81866eb30a433a6d"),
+    # rates that are not finite are refused; a tiny rate overflows every ratio to inf
+    (("regularity", *PO0, "--k-max", "50", "--beta", "nan"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("regularity", *PO0, "--k-max", "50", "--beta", "inf"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("regularity", *PO0, "--k-max", "50", "--beta", "1e-320", "--json"), 0, "b2efc4a1a3a4247866fb924b1f167bedd0315f364612cddb816d2706fec36f04"),
     # jsr
     (("jsr", "-b", "3", "-m", "2", "-n", "5"), 0, "be02237b0261443af115477ecff951a6b57a82293b8db3280896788908793771"),
     (("jsr", "-b", "2", "-m", "3", "-n", "4", "--json", "--check-periodic", "001|011"), 0, "486666f1b421da507962263f344999ea946e3e4fcddc62eab2bc499ca8ac67ce"),
     (("jsr", "-b", "3", "-m", "2", "-n", "4", "--csv"), 0, "6ea64d0c310aa8a54d90dc581c7576527b844050e90f1d38e76f04136d9d79ea"),
+    # the periodic check has no CSV form
+    (("jsr", "-b", "3", "-m", "2", "-n", "3", "--csv", "--check-periodic", "01"), 1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # the five jsr argv of the jsr-spectra bench workload
     (("jsr", "-b", "3", "-m", "2", "-n", "6", "--json"), 0, "6bfafd507a321ba19492fb054d43f8627adf4879a22222ee50c7b301559be1de"),
     (("jsr", "-b", "2", "-m", "3", "-n", "6", "--json"), 0, "8111b776abd44545c01271d8161ecd3e0c6c72d9280e02188648752a1658b49c"),
@@ -88,6 +103,7 @@ GOLDEN = [
     (("build-pq", "-m", "2", "--s", "1/4", "--t", "1/2", "--cycles", "6"), 0, "63cd080ffb6d6dcf5dddfed0ad065600a0d01802cb14109d1a588ee099871f70"),
     (("build-pq", "-m", "3", "--p", "2", "--q", "1", "--gap", "none", "--json"), 0, "ae4b62faae9c030b7638e9a8aab20bd7396cf64b2903ed2327eaf585efc40f08"),
     (("build-pq", "-m", "2", "--s", "1/3", "--t", "1/3", "--cycles", "8", "--csv"), 0, "310a48b35a5b9ce776a06166ea081cf61ec9a2e7f611b15e6fa050036ef136f9"),
+    (("build-pq", "-m", "2", "--s", "1/0", "--t", "1/2"), 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 
